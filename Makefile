@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lintdoc checklinks bench microbench report tier1 tier2 serve loadtest fuzz chaos smoke
+.PHONY: all build test race vet lint lintdoc checklinks bench microbench report results-check tier1 tier2 serve loadtest fuzz chaos smoke
 
 all: tier1
 
@@ -59,6 +59,15 @@ microbench:
 
 report:
 	$(GO) run ./cmd/report
+
+# results-check: byte-diff the full report against the committed
+# RESULTS.txt, pinning the paper's numbers across engine refactors
+# (CI tier1 job).
+results-check:
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	$(GO) run ./cmd/report >"$$out" && \
+	diff -u RESULTS.txt "$$out" && \
+	echo "results-check: cmd/report output is byte-identical to RESULTS.txt"
 
 # serve: run the fepiad HTTP robustness-analysis service on :8080
 # (see docs/SERVICE.md for the endpoint reference).

@@ -20,7 +20,8 @@
 // analytic loop it replaces, on the identical workload: kernel_warm
 // (pack reused across sweeps — the steady-state shape), kernel_cold
 // (Pack plus one sweep from nothing), and mixed (linear + convex
-// features through batch.AnalyzeOneContext with the kernel on and off).
+// features through batch.AnalyzeOneContext against a core.ComputeRadius
+// loop).
 // Byte-identity between the two paths is verified inside the harness and
 // recorded in the summary, so the speedup figures are only ever claimed
 // for bit-equal results.
@@ -229,28 +230,30 @@ func main() {
 
 	// Mixed: one in four features is a convex quadratic the kernel must
 	// route to internal/optimize, driven through the real engine entry
-	// point with the kernel on and off. The identity check covers the
-	// whole analysis, proving routing loses nothing.
+	// point against the per-feature core.ComputeRadius loop. The identity
+	// check compares the whole analysis with core.Analyze, proving routing
+	// loses nothing.
 	mixedFeatures := mixedWorkload(features, *dim)
 	mixedJob := batch.Job{Features: mixedFeatures, Perturbation: p}
-	aOff, err := batch.AnalyzeOneContext(context.Background(), mixedJob, batch.Options{Core: opts})
+	aCore, err := core.Analyze(mixedFeatures, p, opts)
 	if err != nil {
 		fatal(err)
 	}
-	aOn, err := batch.AnalyzeOneContext(context.Background(), mixedJob, batch.Options{Core: opts, Kernel: true})
+	aEngine, err := batch.AnalyzeOneContext(context.Background(), mixedJob, batch.Options{Core: opts})
 	if err != nil {
 		fatal(err)
 	}
-	rep.Summary.KernelMixedIdentical = math.Float64bits(aOn.Robustness) == math.Float64bits(aOff.Robustness) &&
-		resultsIdentical(aOn.Radii, aOff.Radii)
+	rep.Summary.KernelMixedIdentical = math.Float64bits(aEngine.Robustness) == math.Float64bits(aCore.Robustness) &&
+		resultsIdentical(aEngine.Radii, aCore.Radii)
+	mixedOut := make([]core.RadiusResult, len(mixedFeatures))
 	rep.add(measureInterleaved("mixed", 1, *reps, len(mixedFeatures), []contender{
 		{"perfeature", func() {
-			if _, err := batch.AnalyzeOneContext(context.Background(), mixedJob, batch.Options{Core: opts}); err != nil {
-				fatal(err)
+			for i, f := range mixedFeatures {
+				mixedOut[i] = mustRadiusResult(core.ComputeRadius(f, p, opts))
 			}
 		}},
 		{"kernel", func() {
-			if _, err := batch.AnalyzeOneContext(context.Background(), mixedJob, batch.Options{Core: opts, Kernel: true}); err != nil {
+			if _, err := batch.AnalyzeOneContext(context.Background(), mixedJob, batch.Options{Core: opts}); err != nil {
 				fatal(err)
 			}
 		}},
@@ -592,8 +595,9 @@ type summary struct {
 	KernelNsPerOp      float64 `json:"kernel_ns_per_op"`
 	// KernelIdentical records that the kernel reproduced the scalar
 	// path's RadiusResults bit for bit on the all-linear workload;
-	// KernelMixedIdentical the same through batch.AnalyzeOneContext on
-	// the mixed linear/convex workload (routing included).
+	// KernelMixedIdentical the same for batch.AnalyzeOneContext against
+	// core.Analyze on the mixed linear/convex workload (routing
+	// included).
 	KernelIdentical      bool `json:"kernel_identical"`
 	KernelMixedIdentical bool `json:"kernel_mixed_identical"`
 	// Incremental speedups are full-recompute ns/step divided by

@@ -371,7 +371,7 @@ func reestimate(point []float64, m *hcs.Mapping) []float64 {
 }
 
 // runLib drives the scenario through the in-process engine: one
-// batch.Watcher per epoch, the kernel delta path on.
+// batch.Watcher (the kernel delta path) per epoch.
 func runLib(epochs []epoch) ([]stepRecord, error) {
 	var traj []stepRecord
 	ctx := context.Background()
@@ -383,7 +383,7 @@ func runLib(epochs []epoch) ([]stepRecord, error) {
 		}
 		w, err := batch.NewWatcher(
 			batch.Job{Features: sys.Features, Perturbation: sys.Perturbation},
-			batch.Options{Core: sys.Options, Kernel: true, ShareBoundaries: true})
+			batch.Options{Core: sys.Options, ShareBoundaries: true})
 		if err != nil {
 			return nil, err
 		}

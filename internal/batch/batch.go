@@ -42,21 +42,6 @@ type Options struct {
 	// results escape to callers that might mutate them (the public
 	// facade).
 	ShareBoundaries bool
-	// Kernel routes eligible features — valid linear impacts under an
-	// ℓ₂/ℓ₁/ℓ∞/weighted-ℓ₂ norm — through the vectorized SoA analytic
-	// kernel (internal/kernel): all their radii are computed in one
-	// cache-friendly sweep with results bit-identical to the per-feature
-	// path. Ineligible features (non-linear impacts, unsupported or
-	// mismatched norms, invalid inputs) keep the exact per-feature path,
-	// as does the whole job on a fault-injected request, so chaos
-	// injection points never silently disappear. Traced requests use the
-	// kernel and record one "kernel" span for the sweep in place of
-	// per-feature solve spans. Kernel-routed features flow through the
-	// radius cache in both directions: memoised radii are served from
-	// warm hits without sweeping, and every swept radius populates the
-	// cache — so degraded serving and cluster cache-affinity cover the
-	// kernel path too (see docs/PERFORMANCE.md for the routing rules).
-	Kernel bool
 	// Anytime turns a mid-solve deadline expiry into a certified partial
 	// answer instead of an aborted analysis: per-feature solves run
 	// through core.ComputeRadiusAnytime, and a feature whose minimiser
@@ -196,10 +181,10 @@ func AnalyzeOne(job Job, opts Options) (core.Analysis, error) {
 }
 
 // AnalyzeOneContext is AnalyzeOne under a context: like
-// core.AnalyzeContext, cancellation is observed between per-feature
-// radius computations and the ctx error is returned verbatim. It is the
-// per-request entry point of the fepiad server, which must never run an
-// uncancellable solve.
+// core.AnalyzeContext, cancellation is observed before the kernel sweep
+// and between per-feature radius computations, and the ctx error is
+// returned verbatim. It is the per-request entry point of the fepiad
+// server, which must never run an uncancellable solve.
 //
 // Resilience: every per-feature solve is panic-isolated (a crash becomes
 // a typed *core.SolveError wrapping core.ErrSolvePanic for this job only)
@@ -210,23 +195,22 @@ func AnalyzeOneContext(ctx context.Context, job Job, opts Options) (core.Analysi
 	if len(job.Features) == 0 {
 		return core.Analysis{}, fmt.Errorf("core: empty feature set Φ")
 	}
+	if err := liveErr(ctx, opts.Anytime); err != nil {
+		return core.Analysis{}, err
+	}
 	copts := opts.Core.WithDefaults()
 	radii := make([]core.RadiusResult, len(job.Features))
-	// With Options.Kernel set, the vectorized analytic kernel fills the
-	// slots of every eligible linear feature in one SoA sweep; the loop
-	// below then only visits what the kernel could not take (solved is
-	// nil when the kernel is off or nothing was eligible).
+	// The vectorized analytic kernel fills the slots of every eligible
+	// linear feature in one SoA sweep; the loop below then only visits
+	// what the kernel could not take (solved is nil when nothing was
+	// eligible).
 	solved := kernelSolve(ctx, job, copts, opts, radii)
 	for i, f := range job.Features {
 		if solved != nil && solved[i] {
 			continue
 		}
-		if err := ctx.Err(); err != nil {
-			// In anytime mode a passed deadline is not fatal: the solve
-			// below returns a certified partial bound for this feature.
-			if !opts.Anytime || !errors.Is(err, context.DeadlineExceeded) {
-				return core.Analysis{}, err
-			}
+		if err := liveErr(ctx, opts.Anytime); err != nil {
+			return core.Analysis{}, err
 		}
 		r, err := solveFeature(ctx, i, f, job.Perturbation, copts, opts)
 		if err != nil {
@@ -235,6 +219,18 @@ func AnalyzeOneContext(ctx context.Context, job Job, opts Options) (core.Analysi
 		radii[i] = r
 	}
 	return core.NewAnalysis(job.Perturbation, radii), nil
+}
+
+// liveErr is the engine's cancellation rule, checked before every
+// solve: ctx's error, except that an anytime request only past its
+// deadline still answers — the solve then returns a certified partial
+// bound.
+func liveErr(ctx context.Context, anytime bool) error {
+	err := ctx.Err()
+	if anytime && errors.Is(err, context.DeadlineExceeded) {
+		return nil
+	}
+	return err
 }
 
 // solveFeature computes one radius through the cached path under the

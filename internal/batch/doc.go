@@ -22,13 +22,12 @@
 // All engine state (the worker pool, the cache) is safe for concurrent
 // use from multiple goroutines.
 //
-// With Options.Kernel set, the engine additionally routes every
-// kernel-eligible linear feature of a job through the vectorized
-// struct-of-arrays sweep in internal/kernel (one pack, one dot-product
-// sweep, one amortised boundary allocation) while convex and non-convex
-// impacts keep the per-feature internal/optimize path. Routing never
-// changes results: the kernel is bit-identical to the scalar path by
-// contract, and traced or fault-injected requests skip it wholesale so
-// observability and chaos semantics are preserved. docs/PERFORMANCE.md
+// The engine routes every kernel-eligible linear feature of a job
+// through the vectorized struct-of-arrays sweep in internal/kernel (one
+// pack, one dot-product sweep, one amortised boundary allocation) while
+// convex and non-convex impacts keep the per-feature internal/optimize
+// path. Routing never changes results: the kernel is bit-identical to
+// core.ComputeRadius by contract, and fault-injected requests skip it
+// wholesale so chaos semantics are preserved. docs/PERFORMANCE.md
 // documents the routing table and the measured speedups.
 package batch

@@ -10,50 +10,31 @@ import (
 	"fepia/internal/obs"
 )
 
-// kernelSolve is the engine's routing step for Options.Kernel: it serves
-// every kernel-eligible feature already memoised straight from the warm
-// radius cache, packs the remaining cold subset into one SoA batch,
-// computes those radii in a single sweep, populates the cache with the
-// swept results, scatters everything into its input-ordered slot, and
-// returns a mask of the slots it filled. A nil return means "kernel took
-// nothing" — the caller's per-feature loop then behaves exactly as if
-// Kernel were off.
+// kernelSolve is the engine's analytic routing step: it serves every
+// kernel-eligible feature already memoised straight from the warm radius
+// cache, packs the remaining cold subset into one SoA batch, computes
+// those radii in a single sweep, populates the cache with the swept
+// results, scatters everything into its input-ordered slot, and returns
+// a mask of the slots it filled. A nil return means "kernel took
+// nothing" — the caller's per-feature loop then solves every feature.
 //
-// Routing rules (the full table lives in docs/PERFORMANCE.md):
+// Routing (the full table lives in docs/PERFORMANCE.md): a request
+// carrying a fault injector and an invalid perturbation keep the
+// per-feature path wholesale, so injection points fire per feature and
+// the scalar validation error surfaces verbatim; per feature, only
+// kernel.Eligible linear impacts are packed; a feature whose impact is
+// NaN at the operating point is handed back to the scalar path, which
+// owns that error's wording. Traced requests use the kernel and record
+// one "kernel" span with the hit/solved/fallback counts.
 //
-//   - a request carrying a fault injector keeps the per-feature path
-//     wholesale, so the solve/cache_get/cache_put injection points fire
-//     per feature exactly as the chaos suite expects;
-//   - an invalid perturbation keeps the per-feature path so the scalar
-//     validation error is surfaced verbatim;
-//   - per feature, only valid linear impacts of matching dimension under
-//     a supported norm are packed (kernel.Eligible); everything else —
-//     convex/non-convex impacts headed for internal/optimize, exotic
-//     norms, malformed features — keeps the per-feature path;
-//   - a feature whose impact evaluates to NaN at the operating point is
-//     handed back by the kernel and re-routed through the scalar path,
-//     which owns that error's wording.
-//
-// Traced requests DO use the kernel (fepiad traces every request into
-// the /debug/traces ring, so falling back on trace presence would
-// disable the kernel for the whole serving surface); the sweep records
-// one "kernel" span carrying the hit/solved/fallback counts, and only
-// the features re-routed to the per-feature path get individual solve
-// spans.
-//
-// Cache integration: kernel-swept results are bit-identical to
-// core.ComputeRadius, so they flow through the shared radius cache in
-// both directions — warm entries are served without sweeping (counted as
-// cache hits), and every swept radius is inserted for later hits
-// (counted as misses through Cache.Put, preserving the one-miss-per-
-// solve accounting). This keeps cluster cache-affinity and degraded
-// serving effective on the kernel path. The cache is consulted without
-// injection points, which is sound because a fault-injected request
-// never reaches the kernel path at all.
+// Swept results are bit-identical to core.ComputeRadius, so they flow
+// through the shared radius cache in both directions: warm entries are
+// served without sweeping (counted as hits), and every swept radius is
+// inserted for later hits (counted as a miss in the cache and in the
+// request's RequestStats, one per solve). The cache is consulted
+// without injection points, which is sound because a fault-injected
+// request never reaches this path.
 func kernelSolve(ctx context.Context, job Job, copts core.Options, opts Options, radii []core.RadiusResult) []bool {
-	if !opts.Kernel {
-		return nil
-	}
 	if faults.From(ctx) != nil {
 		return nil
 	}
@@ -141,7 +122,7 @@ func kernelSolve(ctx context.Context, job Job, copts core.Options, opts Options,
 		opts.Cache.Put(job.Features[i], job.Perturbation, copts, out[j])
 	}
 	if rs != nil && sweptN > 0 {
-		rs.Kernel.Add(uint64(sweptN))
+		rs.Misses.Add(uint64(sweptN))
 	}
 	sp.Set("features", strconv.Itoa(sweptN))
 	sp.Set("fallback", strconv.Itoa(len(fallback)))

@@ -2,10 +2,12 @@ package batch
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"fepia/internal/core"
 	"fepia/internal/faults"
@@ -116,20 +118,56 @@ func assertAnalysesIdentical(t *testing.T, tag string, got, want core.Analysis) 
 	}
 }
 
-// TestKernelAnalyzeByteIdentical: AnalyzeOneContext with Options.Kernel
-// on and off produces bit-equal analyses for all-linear jobs.
+// TestKernelAnalyzeByteIdentical: the engine's kernel path produces
+// analyses bit-equal to the core.Analyze oracle for all-linear jobs.
 func TestKernelAnalyzeByteIdentical(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		job := kernelJob(t, 100+seed, 33, 7, false)
-		off, err := AnalyzeOneContext(context.Background(), job, Options{})
+		want, err := core.Analyze(job.Features, job.Perturbation, core.Options{})
 		if err != nil {
-			t.Fatalf("kernel off: %v", err)
+			t.Fatalf("core: %v", err)
 		}
-		on, err := AnalyzeOneContext(context.Background(), job, Options{Kernel: true})
+		got, err := AnalyzeOneContext(context.Background(), job, Options{})
 		if err != nil {
-			t.Fatalf("kernel on: %v", err)
+			t.Fatalf("engine: %v", err)
 		}
-		assertAnalysesIdentical(t, fmt.Sprintf("seed=%d", seed), on, off)
+		assertAnalysesIdentical(t, fmt.Sprintf("seed=%d", seed), got, want)
+	}
+}
+
+// TestKernelHonoursCancellation: the kernel path applies the per-feature
+// loop's cancellation rule — a cancelled or expired request fails even
+// when every feature is kernel-eligible, in one-shot analyses and watch
+// steps alike, except that an anytime request only past its deadline
+// still answers.
+func TestKernelHonoursCancellation(t *testing.T) {
+	job := kernelJob(t, 31, 9, 4, false)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancelExpired()
+	for _, tc := range []struct {
+		name    string
+		ctx     context.Context
+		anytime bool
+		want    error
+	}{
+		{"cancelled", cancelled, false, context.Canceled},
+		{"cancelled anytime", cancelled, true, context.Canceled},
+		{"expired", expired, false, context.DeadlineExceeded},
+		{"expired anytime", expired, true, nil},
+	} {
+		opts := Options{Anytime: tc.anytime}
+		if _, err := AnalyzeOneContext(tc.ctx, job, opts); !errors.Is(err, tc.want) {
+			t.Errorf("%s: AnalyzeOneContext err = %v, want %v", tc.name, err, tc.want)
+		}
+		w, err := NewWatcher(job, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Step(tc.ctx, job.Perturbation.Orig); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Watcher.Step err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -139,7 +177,7 @@ func TestKernelAnalyzeByteIdentical(t *testing.T) {
 // it cannot answer exactly.
 func TestKernelMixedBatchRouting(t *testing.T) {
 	job := kernelJob(t, 7, 20, 4, true)
-	got, err := AnalyzeOneContext(context.Background(), job, Options{Kernel: true})
+	got, err := AnalyzeOneContext(context.Background(), job, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,15 +200,14 @@ func TestKernelMixedBatchRouting(t *testing.T) {
 	if hyper == 0 || optimized == 0 {
 		t.Fatalf("mixed job lost a class: %d linear, %d optimized", hyper, optimized)
 	}
-	// And the mixed job is still byte-identical to the kernel-off run for
-	// the deterministic (linear + convex) slots; annealed radii depend on
-	// a seeded RNG inside optimize, which both paths share identically
-	// because the per-feature path solves them in both runs.
-	off, err := AnalyzeOneContext(context.Background(), job, Options{})
+	// And the mixed job is byte-identical to the core.Analyze oracle:
+	// annealed radii depend on a seeded RNG inside optimize, which both
+	// share identically because the engine solves them per feature.
+	want, err := core.Analyze(job.Features, job.Perturbation, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertAnalysesIdentical(t, "mixed", got, off)
+	assertAnalysesIdentical(t, "mixed", got, want)
 }
 
 // noopInjector never fires a fault; its presence on the context is what
@@ -182,17 +219,24 @@ func (noopInjector) Inject(context.Context, faults.Point) error { return nil }
 // TestKernelRoutingFidelity: the kernel path participates in the radius
 // cache (a cold sweep populates it, a warm request serves from it), so
 // cache statistics make routing observable. A plain or traced request
-// with Kernel on must populate a fresh cache from its sweep (fepiad
-// traces every request, so the kernel must engage on traced requests
-// too — recording a "kernel" span for the sweep); a request carrying a
-// fault injector must fall back to the per-feature cached path so
-// injection points keep firing per feature.
+// must populate a fresh cache from its sweep (fepiad traces every
+// request, so the kernel must engage on traced requests too — recording
+// a "kernel" span for the sweep); a request carrying a fault injector
+// must fall back to the per-feature cached path so injection points keep
+// firing per feature. The cross-path subtests use such an injected
+// request as the scalar path.
 func TestKernelRoutingFidelity(t *testing.T) {
 	job := kernelJob(t, 11, 12, 5, false)
+	ctx := context.Background()
+	scalarCtx := faults.With(ctx, noopInjector{})
+	want, err := core.Analyze(job.Features, job.Perturbation, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	t.Run("cold sweep populates cache", func(t *testing.T) {
 		c := NewCache(64)
-		if _, err := AnalyzeOneContext(context.Background(), job, Options{Kernel: true, Cache: c}); err != nil {
+		if _, err := AnalyzeOneContext(ctx, job, Options{Cache: c}); err != nil {
 			t.Fatal(err)
 		}
 		if s := c.Stats(); s.Misses != 12 || s.Size != 12 || s.Hits != 0 {
@@ -202,51 +246,47 @@ func TestKernelRoutingFidelity(t *testing.T) {
 
 	t.Run("warm request serves kernel-eligible features from cache", func(t *testing.T) {
 		c := NewCache(64)
-		cold, err := AnalyzeOneContext(context.Background(), job, Options{Kernel: true, Cache: c})
+		cold, err := AnalyzeOneContext(ctx, job, Options{Cache: c})
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := AnalyzeOneContext(context.Background(), job, Options{Kernel: true, Cache: c})
+		warm, err := AnalyzeOneContext(ctx, job, Options{Cache: c})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s := c.Stats(); s.Hits != 12 || s.Misses != 12 {
 			t.Fatalf("warm kernel request did not hit the cache: %+v", s)
 		}
-		assertAnalysesIdentical(t, "warm-vs-cold", warm, cold)
+		assertAnalysesIdentical(t, "cold-vs-core", cold, want)
+		assertAnalysesIdentical(t, "warm-vs-core", warm, want)
 	})
 
 	t.Run("scalar path hits kernel-populated entries", func(t *testing.T) {
 		// Cross-path affinity: radii swept by the kernel must be warm hits
-		// for a later Kernel-off request, byte-identical to a fresh solve.
+		// for a later per-feature request, byte-identical to the oracle.
 		c := NewCache(64)
-		if _, err := AnalyzeOneContext(context.Background(), job, Options{Kernel: true, Cache: c}); err != nil {
+		if _, err := AnalyzeOneContext(ctx, job, Options{Cache: c}); err != nil {
 			t.Fatal(err)
 		}
-		scalar, err := AnalyzeOneContext(context.Background(), job, Options{Cache: c})
+		scalar, err := AnalyzeOneContext(scalarCtx, job, Options{Cache: c})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s := c.Stats(); s.Hits != 12 {
 			t.Fatalf("scalar path missed kernel-populated entries: %+v", s)
 		}
-		fresh, err := AnalyzeOneContext(context.Background(), job, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertAnalysesIdentical(t, "scalar-vs-fresh", scalar, fresh)
+		assertAnalysesIdentical(t, "scalar-vs-core", scalar, want)
 	})
 
 	t.Run("kernel path hits scalar-populated entries", func(t *testing.T) {
 		// And the other direction: radii solved per-feature are warm hits
 		// for a later kernel request, which then sweeps nothing.
 		c := NewCache(64)
-		if _, err := AnalyzeOneContext(context.Background(), job, Options{Cache: c}); err != nil {
+		if _, err := AnalyzeOneContext(scalarCtx, job, Options{Cache: c}); err != nil {
 			t.Fatal(err)
 		}
 		tr := obs.NewTrace(obs.NewID(), "test")
-		ctx := obs.WithTrace(context.Background(), tr)
-		if _, err := AnalyzeOneContext(ctx, job, Options{Kernel: true, Cache: c}); err != nil {
+		if _, err := AnalyzeOneContext(obs.WithTrace(ctx, tr), job, Options{Cache: c}); err != nil {
 			t.Fatal(err)
 		}
 		if s := c.Stats(); s.Hits != 12 {
@@ -267,8 +307,7 @@ func TestKernelRoutingFidelity(t *testing.T) {
 	t.Run("traced request uses kernel and records a span", func(t *testing.T) {
 		c := NewCache(64)
 		tr := obs.NewTrace(obs.NewID(), "test")
-		ctx := obs.WithTrace(context.Background(), tr)
-		if _, err := AnalyzeOneContext(ctx, job, Options{Kernel: true, Cache: c}); err != nil {
+		if _, err := AnalyzeOneContext(obs.WithTrace(ctx, tr), job, Options{Cache: c}); err != nil {
 			t.Fatal(err)
 		}
 		if s := c.Stats(); s.Misses != 12 || s.Size != 12 {
@@ -303,29 +342,34 @@ func TestKernelRoutingFidelity(t *testing.T) {
 
 	t.Run("injected request keeps per-feature path", func(t *testing.T) {
 		c := NewCache(64)
-		ctx := faults.With(context.Background(), noopInjector{})
-		if _, err := AnalyzeOneContext(ctx, job, Options{Kernel: true, Cache: c}); err != nil {
+		tr := obs.NewTrace(obs.NewID(), "test")
+		if _, err := AnalyzeOneContext(obs.WithTrace(scalarCtx, tr), job, Options{Cache: c}); err != nil {
 			t.Fatal(err)
 		}
-		if s := c.Stats(); s.Misses == 0 {
+		if s := c.Stats(); s.Misses != 12 {
 			t.Fatalf("injected request skipped the per-feature path: %+v", s)
+		}
+		for _, sp := range tr.Finish(200).Spans {
+			if sp.Name == "kernel" {
+				t.Fatalf("injected request recorded a kernel span: %+v", sp)
+			}
 		}
 	})
 
 	t.Run("request stats label kernel and hit provenance", func(t *testing.T) {
+		// A kernel sweep is a cache miss: the cold request reports "miss"
+		// with one miss per swept radius, the warm one "hit".
 		c := NewCache(64)
 		var coldStats RequestStats
-		ctx := WithRequestStats(context.Background(), &coldStats)
-		if _, err := AnalyzeOneContext(ctx, job, Options{Kernel: true, Cache: c}); err != nil {
+		if _, err := AnalyzeOneContext(WithRequestStats(ctx, &coldStats), job, Options{Cache: c}); err != nil {
 			t.Fatal(err)
 		}
-		if got := coldStats.Source(); got != "kernel" {
-			t.Fatalf("cold kernel request Source() = %q, want \"kernel\" (stats: kernel=%d hits=%d misses=%d)",
-				got, coldStats.Kernel.Load(), coldStats.Hits.Load(), coldStats.Misses.Load())
+		if got := coldStats.Source(); got != "miss" || coldStats.Misses.Load() != 12 {
+			t.Fatalf("cold kernel request Source() = %q, want \"miss\" (stats: hits=%d misses=%d coalesced=%d)",
+				got, coldStats.Hits.Load(), coldStats.Misses.Load(), coldStats.Coalesced.Load())
 		}
 		var warmStats RequestStats
-		ctx = WithRequestStats(context.Background(), &warmStats)
-		if _, err := AnalyzeOneContext(ctx, job, Options{Kernel: true, Cache: c}); err != nil {
+		if _, err := AnalyzeOneContext(WithRequestStats(ctx, &warmStats), job, Options{Cache: c}); err != nil {
 			t.Fatal(err)
 		}
 		if got := warmStats.Source(); got != "hit" {

@@ -6,32 +6,29 @@ import (
 )
 
 // RequestStats accumulates the cache provenance of one served request:
-// how many radii came from warm hits, fresh solves, coalesced waits on
-// another caller's in-flight solve, and kernel sweeps. The fepiad server
-// attaches one per request with WithRequestStats and folds it into the
-// ResponseMeta "cache" field; the engine records into it wherever the
-// radius cache is consulted. All fields are atomic, so one collector can
-// span every worker of a batch request.
+// how many radii came from warm hits, fresh solves (per-feature or
+// kernel sweep), and coalesced waits on another caller's in-flight
+// solve. The fepiad server attaches one per request with
+// WithRequestStats and folds it into the ResponseMeta "cache" field; the
+// engine records into it wherever the radius cache is consulted. All
+// fields are atomic, so one collector can span every worker of a batch
+// request.
 type RequestStats struct {
 	// Hits counts radii served from the warm cache (scalar or kernel
 	// path).
 	Hits atomic.Uint64
-	// Misses counts radii solved fresh (singleflight leaders and kernel
-	// sweeps both count here through the cache's own miss accounting —
-	// see Source for how the label is chosen).
+	// Misses counts radii solved fresh: singleflight leaders, anytime
+	// solves, and cold features of a kernel sweep.
 	Misses atomic.Uint64
 	// Coalesced counts radii obtained by parking on an identical
 	// in-flight solve.
 	Coalesced atomic.Uint64
-	// Kernel counts radii produced by a vectorized kernel sweep (cold
-	// kernel-eligible features; their results populate the cache).
-	Kernel atomic.Uint64
 }
 
 // Source folds the counters into the request's coldest provenance
-// label — "miss" beats "coalesced" beats "kernel" beats "hit", matching
-// the spec.Cache* wire constants — or "" when the request never touched
-// the radius cache.
+// label — "miss" beats "coalesced" beats "hit", matching the spec.Cache*
+// wire constants — or "" when the request never touched the radius
+// cache.
 func (rs *RequestStats) Source() string {
 	switch {
 	case rs == nil:
@@ -40,8 +37,6 @@ func (rs *RequestStats) Source() string {
 		return "miss"
 	case rs.Coalesced.Load() > 0:
 		return "coalesced"
-	case rs.Kernel.Load() > 0:
-		return "kernel"
 	case rs.Hits.Load() > 0:
 		return "hit"
 	}

@@ -2,7 +2,6 @@ package batch
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -80,8 +79,8 @@ type StepResult struct {
 // NewWatcher opens a session on the job. The job's
 // Perturbation.Orig provides the dimension (and the first step's
 // previous point for delta purposes, though the first Step always
-// performs a full solve). Kernel packing follows Options.Kernel and
-// per-feature eligibility exactly like the one-shot engine.
+// performs a full solve). Kernel packing follows per-feature
+// eligibility exactly like the one-shot engine.
 func NewWatcher(job Job, opts Options) (*Watcher, error) {
 	if len(job.Features) == 0 {
 		return nil, fmt.Errorf("core: empty feature set Φ")
@@ -105,7 +104,7 @@ func NewWatcher(job Job, opts Options) (*Watcher, error) {
 	copy(w.point, job.Perturbation.Orig)
 	w.pert.Orig = w.point
 
-	if opts.Kernel && kernel.SupportedNorm(copts.Norm) {
+	if kernel.SupportedNorm(copts.Norm) {
 		for i, f := range job.Features {
 			if kernel.Eligible(f, dim, copts.Norm) {
 				w.kidx = append(w.kidx, i)
@@ -155,6 +154,12 @@ func (w *Watcher) Step(ctx context.Context, next []float64) (StepResult, error) 
 	if len(next) != len(w.point) {
 		return StepResult{}, fmt.Errorf("batch: watcher step dimension %d != session dimension %d", len(next), len(w.point))
 	}
+	// The engine's cancellation rule holds before any solve, so a
+	// cancelled step fails even when the delta session takes every
+	// feature.
+	if err := liveErr(ctx, w.opts.Anytime); err != nil {
+		return StepResult{}, err
+	}
 	// The perturbation handed to solves and to the result must carry the
 	// NEW point; w.point stays the previous point until the step commits.
 	stepPert := w.pert
@@ -173,10 +178,8 @@ func (w *Watcher) Step(ctx context.Context, next []float64) (StepResult, error) 
 	// discipline (cache, retry, panic isolation, faults, anytime) and
 	// records whether its answer moved.
 	scalarSolve := func(i int) error {
-		if err := ctx.Err(); err != nil {
-			if !w.opts.Anytime || !errors.Is(err, context.DeadlineExceeded) {
-				return err
-			}
+		if err := liveErr(ctx, w.opts.Anytime); err != nil {
+			return err
 		}
 		r, err := solveFeature(ctx, i, w.job.Features[i], stepPert, w.copts, w.opts)
 		if err != nil {
@@ -191,15 +194,25 @@ func (w *Watcher) Step(ctx context.Context, next []float64) (StepResult, error) 
 		return nil
 	}
 
-	var fallback []int
-	if kernelStep {
+	if !kernelStep {
+		for i := range w.job.Features {
+			if err := scalarSolve(i); err != nil {
+				return StepResult{}, err
+			}
+		}
+		// The delta session (if any) was bypassed: its point of record is
+		// now stale, so the next kernel step must resweep cold.
+		w.resync = w.pack != nil
+	} else {
 		var (
-			changedK []int
-			err      error
+			changedK, fallback []int
+			err                error
 		)
-		if first || w.resync {
+		// A cold step (first, or after a bypassed step) reports every
+		// kernel feature as changed; changedK stays nil.
+		cold := first || w.resync
+		if cold {
 			fallback, err = w.delta.Full(next, w.kout)
-			changedK = nil // every kernel feature reports changed below
 		} else {
 			changedK, fallback, err = w.delta.ComputeDelta(w.point, next, nil, w.kout)
 		}
@@ -210,26 +223,21 @@ func (w *Watcher) Step(ctx context.Context, next []float64) (StepResult, error) 
 		for _, j := range fallback {
 			isFallback[j] = true
 		}
-		if first || w.resync {
-			for j, i := range w.kidx {
-				if !isFallback[j] {
-					w.changed = append(w.changed, i)
-				}
-			}
-		} else {
-			for _, j := range changedK {
-				if !isFallback[j] {
-					w.changed = append(w.changed, w.kidx[j])
-				}
-			}
-		}
 		for j, i := range w.kidx {
 			if isFallback[j] {
 				continue
 			}
+			if cold {
+				w.changed = append(w.changed, i)
+			}
 			w.radii[i] = w.kout[j]
 			w.prevBits[i] = math.Float64bits(w.kout[j].Radius)
 			w.prevKind[i] = w.kout[j].Kind
+		}
+		for _, j := range changedK {
+			if !isFallback[j] {
+				w.changed = append(w.changed, w.kidx[j])
+			}
 		}
 		if sp := obs.StartSpan(ctx, "kernel_delta"); sp != nil {
 			sp.Set("features", strconv.Itoa(len(w.kidx)-len(fallback)))
@@ -237,11 +245,8 @@ func (w *Watcher) Step(ctx context.Context, next []float64) (StepResult, error) 
 			sp.Set("fallback", strconv.Itoa(len(fallback)))
 			sp.End(nil)
 		}
-	}
-
-	// Scalar features every step; kernel NaN-fallback features whenever
-	// they are in fallback at this point.
-	if kernelStep {
+		// Scalar features every step; kernel NaN-fallback features
+		// whenever they are in fallback at this point.
 		for _, i := range w.scalar {
 			if err := scalarSolve(i); err != nil {
 				return StepResult{}, err
@@ -252,17 +257,6 @@ func (w *Watcher) Step(ctx context.Context, next []float64) (StepResult, error) 
 				return StepResult{}, err
 			}
 		}
-	} else {
-		for i := range w.job.Features {
-			if err := scalarSolve(i); err != nil {
-				return StepResult{}, err
-			}
-		}
-		// The delta session (if any) was bypassed: its point of record is
-		// now stale, so the next kernel step must resweep cold.
-		w.resync = w.pack != nil
-	}
-	if kernelStep {
 		w.resync = false
 	}
 

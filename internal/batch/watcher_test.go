@@ -12,17 +12,16 @@ import (
 	"fepia/internal/faults"
 )
 
-// watcherWalk drives a Watcher along a seeded trajectory and asserts
-// every frame byte-identical to a one-shot AnalyzeOneContext of the
-// same job at the same point, under the given engine options.
-func watcherWalk(t *testing.T, job Job, opts Options, steps int, seed int64) {
+// watcherWalk drives a Watcher along a seeded trajectory under ctx and
+// asserts every frame byte-identical to a one-shot AnalyzeOneContext of
+// the same job at the same point, under the given engine options.
+func watcherWalk(t *testing.T, ctx context.Context, job Job, opts Options, steps int, seed int64) {
 	t.Helper()
 	w, err := NewWatcher(job, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	ctx := context.Background()
 	point := append([]float64(nil), job.Perturbation.Orig...)
 	// Reference engine with its own cache so watch-path cache traffic
 	// cannot mask a divergence.
@@ -35,7 +34,7 @@ func watcherWalk(t *testing.T, job Job, opts Options, steps int, seed int64) {
 		}
 		refJob := job
 		refJob.Perturbation.Orig = point
-		want, err := AnalyzeOneContext(ctx, refJob, refOpts)
+		want, err := AnalyzeOneContext(context.Background(), refJob, refOpts)
 		if err != nil {
 			t.Fatalf("step %d: reference: %v", s, err)
 		}
@@ -81,13 +80,18 @@ func resultsMatch(got, want core.Analysis) bool {
 }
 
 // TestWatcherMatchesOneShot: a watch session over paper-shaped HCS jobs
-// must reproduce the one-shot engine bit for bit at every point, with
-// the kernel on and off.
+// must reproduce the one-shot engine bit for bit at every point, both on
+// the kernel delta path and on the per-feature path a fault-injected
+// session takes.
 func TestWatcherMatchesOneShot(t *testing.T) {
 	job := paperJobs(t, 1, 404)[0]
 	for _, kernelOn := range []bool{true, false} {
 		t.Run(fmt.Sprintf("kernel=%v", kernelOn), func(t *testing.T) {
-			watcherWalk(t, job, Options{Cache: NewCache(0), Kernel: kernelOn}, 20, 17)
+			ctx := context.Background()
+			if !kernelOn {
+				ctx = faults.With(ctx, noopInjector{})
+			}
+			watcherWalk(t, ctx, job, Options{Cache: NewCache(0)}, 20, 17)
 		})
 	}
 }
@@ -114,7 +118,7 @@ func TestWatcherMixedFeatures(t *testing.T) {
 		},
 		Bounds: core.NoMin(1e6),
 	})
-	watcherWalk(t, job, Options{Cache: NewCache(0), Kernel: true}, 10, 23)
+	watcherWalk(t, context.Background(), job, Options{Cache: NewCache(0)}, 10, 23)
 }
 
 // TestWatcherChangedSet: moving one machine's ETC coordinate changes
@@ -122,7 +126,7 @@ func TestWatcherMixedFeatures(t *testing.T) {
 // radius value genuinely moved).
 func TestWatcherChangedSet(t *testing.T) {
 	job := paperJobs(t, 1, 406)[0]
-	w, err := NewWatcher(job, Options{Cache: NewCache(0), Kernel: true})
+	w, err := NewWatcher(job, Options{Cache: NewCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +165,7 @@ func TestWatcherFaultInjectedStep(t *testing.T) {
 		MaxAttempts: 3,
 		Sleep:       func(context.Context, time.Duration) error { return nil },
 	}
-	w, err := NewWatcher(job, Options{Cache: NewCache(0), Kernel: true, Retry: retry})
+	w, err := NewWatcher(job, Options{Cache: NewCache(0), Retry: retry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +187,7 @@ func TestWatcherFaultInjectedStep(t *testing.T) {
 	}
 	refJob := job
 	refJob.Perturbation.Orig = next
-	want, err := AnalyzeOneContext(ctx, refJob, Options{Cache: NewCache(0), Kernel: true})
+	want, err := AnalyzeOneContext(ctx, refJob, Options{Cache: NewCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +203,7 @@ func TestWatcherFaultInjectedStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	refJob.Perturbation.Orig = clean
-	want, err = AnalyzeOneContext(ctx, refJob, Options{Cache: NewCache(0), Kernel: true})
+	want, err = AnalyzeOneContext(ctx, refJob, Options{Cache: NewCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +218,7 @@ func TestWatcherErrors(t *testing.T) {
 		t.Fatal("NewWatcher accepted an empty job")
 	}
 	job := paperJobs(t, 1, 408)[0]
-	w, err := NewWatcher(job, Options{Kernel: true})
+	w, err := NewWatcher(job, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +238,7 @@ func TestWatcherErrors(t *testing.T) {
 // per-step heap allocation beyond the fallback map (bounded small).
 func TestWatcherStepAllocs(t *testing.T) {
 	job := paperJobs(t, 1, 409)[0]
-	w, err := NewWatcher(job, Options{Kernel: true})
+	w, err := NewWatcher(job, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

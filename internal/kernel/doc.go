@@ -28,13 +28,13 @@
 // product, the same dual-norm factor via core.DualNorm, the same
 // projection arithmetic for the boundary witness, the same
 // strictly-smaller tie-breaking between the β^max and β^min sides), so
-// kernel-on and kernel-off runs produce bit-equal RadiusResults. The
+// the kernel and core.ComputeRadius produce bit-equal RadiusResults. The
 // property tests in kernel_test.go pin this across seeded random
 // mappings, every supported norm, one- and two-sided bounds,
 // already-violated and unreachable features.
 //
-// Eligibility is decided per feature by the batch engine (see
-// batch.Options.Kernel): linear impacts under a supported norm route
+// Eligibility is decided per feature by the batch engine, which routes
+// every eligible feature here unconditionally: linear impacts under a supported norm route
 // here; convex and non-convex impacts keep the internal/optimize
 // numeric path, and fault-injected requests keep the per-feature path
 // wholesale so chaos injection semantics are never silently lost.

@@ -158,8 +158,12 @@ func TestChaosDegradedServingAndBreakerOpen(t *testing.T) {
 		if got.Meta.Cache != spec.CacheHit {
 			t.Fatalf("degraded request %d: meta.cache = %q, want %q", i, got.Meta.Cache, spec.CacheHit)
 		}
-		if got.Degraded {
-			t.Fatalf("degraded request %d: deprecated top-level marker emitted without -compat-v1-degraded: %s", i, body)
+		var top map[string]json.RawMessage
+		if err := json.Unmarshal(body, &top); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := top["degraded"]; ok {
+			t.Fatalf("degraded request %d: removed top-level \"degraded\" marker emitted: %s", i, body)
 		}
 		// Byte-identical modulo the meta block: clearing it must reproduce
 		// the fault-free document exactly.
@@ -418,12 +422,16 @@ func TestChaosBatchDegraded(t *testing.T) {
 		t.Fatalf("degraded batch top-level meta = %+v, want degraded with cache %q", got.Meta, spec.CacheHit)
 	}
 	got.Meta = nil
+	var raw struct{ Results []map[string]json.RawMessage }
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
 	for i := range got.Results {
 		if got.Results[i].Meta == nil || !got.Results[i].Meta.Degraded {
 			t.Fatalf("results[%d] missing meta.degraded marker", i)
 		}
-		if got.Results[i].Degraded {
-			t.Fatalf("results[%d] emitted deprecated top-level marker without -compat-v1-degraded", i)
+		if _, ok := raw.Results[i]["degraded"]; ok {
+			t.Fatalf("results[%d] emitted the removed top-level \"degraded\" marker", i)
 		}
 		got.Results[i].Meta = nil
 	}
@@ -439,38 +447,5 @@ func TestChaosBatchDegraded(t *testing.T) {
 	}
 	if e := decodeError(t, body); e.Kind != "degraded" {
 		t.Fatalf("error kind = %q, want degraded", e.Kind)
-	}
-}
-
-// TestChaosCompatV1DegradedMarker: the deprecated top-level "degraded"
-// marker is emitted only behind -compat-v1-degraded, and always
-// alongside the authoritative meta.degraded (docs/SERVICE.md).
-func TestChaosCompatV1DegradedMarker(t *testing.T) {
-	inj := engineKiller()
-	s := New(quietConfig(Config{
-		RetryMax:         -1,
-		Degraded:         true,
-		CompatV1Degraded: true,
-		Injector:         inj,
-	}))
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	doc := linearSpec(1)
-	postJSON(t, ts.URL+"/v1/analyze", doc) // warm the cache
-	inj.enabled.Store(true)
-	resp, body := postJSON(t, ts.URL+"/v1/analyze", doc)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var got spec.ResultJSON
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Meta == nil || !got.Meta.Degraded {
-		t.Fatalf("meta.degraded missing: %s", body)
-	}
-	if !got.Degraded {
-		t.Fatalf("compat mode did not emit the deprecated top-level marker: %s", body)
 	}
 }

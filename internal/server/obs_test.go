@@ -200,12 +200,13 @@ func TestMetricsExpositionAgreesWithVars(t *testing.T) {
 
 // TestTraceStages sends one traced request per endpoint and checks
 // /debug/traces records it under the caller's X-Request-Id with a span
-// for every pipeline stage.
+// for every pipeline stage — the kernel sweep of the linear feature and
+// the per-feature solve of the convex one.
 func TestTraceStages(t *testing.T) {
 	ts := httptest.NewServer(New(quietConfig(Config{})).Handler())
 	defer ts.Close()
 
-	req, err := http.NewRequest("POST", ts.URL+"/v1/analyze", strings.NewReader(linearSpec(1)))
+	req, err := http.NewRequest("POST", ts.URL+"/v1/analyze", strings.NewReader(webFarm))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +242,12 @@ func TestTraceStages(t *testing.T) {
 	for _, sp := range tr.Spans {
 		stages[sp.Name]++
 	}
-	// linearSpec has two features: two cache_get spans (both misses on a
-	// fresh server, so two cache_put spans) inside two solve spans.
+	// webFarm has one linear feature, swept in one kernel span, and one
+	// convex "terms" feature: one cache_get span (a miss on a fresh
+	// server, so one cache_put span) inside one solve span.
 	for stage, n := range map[string]int{
 		"parse": 1, "breaker": 1, "admit": 1, "encode": 1,
-		"solve": 2, "cache_get": 2, "cache_put": 2,
+		"kernel": 1, "solve": 1, "cache_get": 1, "cache_put": 1,
 	} {
 		if stages[stage] != n {
 			t.Errorf("stage %q: %d spans, want %d (have %v)", stage, stages[stage], n, stages)

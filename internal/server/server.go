@@ -151,19 +151,9 @@ type Config struct {
 	BreakerCooldown time.Duration
 	// Degraded enables degraded-mode serving: when a breaker is open or
 	// the engine fails, /v1/ endpoints answer from the shared radius
-	// cache with a "degraded": true marker instead of failing, and 503
+	// cache with meta.degraded set instead of failing, and 503
 	// only on a true cache miss.
 	Degraded bool
-	// Kernel routes kernel-eligible linear features through the
-	// vectorized SoA analytic kernel (batch.Options.Kernel). Results are
-	// bit-identical to the per-feature path, and kernel-solved features
-	// flow through the shared radius cache in both directions — warm
-	// entries are served without re-solving and fresh solves are
-	// memoised for Degraded serving and for the scalar path. Request
-	// traces show one "kernel" span in place of per-feature solve spans;
-	// fault-injected requests keep the per-feature path regardless. See
-	// docs/PERFORMANCE.md.
-	Kernel bool
 	// SnapshotPath, when non-empty, persists the radius cache across
 	// restarts: loaded once at boot (corrupt or missing files boot
 	// cold), written atomically every SnapshotInterval and on drain.
@@ -201,12 +191,6 @@ type Config struct {
 	// ForwardTimeout bounds each forward attempt to a peer (0 selects
 	// cluster.DefaultForwardTimeout).
 	ForwardTimeout time.Duration
-	// CompatV1Degraded re-emits the deprecated top-level "degraded"
-	// result marker alongside ResponseMeta.Degraded for clients that
-	// have not migrated (-compat-v1-degraded; one release of grace, see
-	// docs/SERVICE.md).
-	CompatV1Degraded bool
-
 	// SLOLatencyP99MS is the latency objective in milliseconds: at most
 	// 1% of successful requests may exceed it (0 selects the
 	// internal/obs default, 500ms). Feeds the fepiad_slo_* burn-rate
@@ -683,7 +667,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// stays allocation-free.
 	a, err := batch.AnalyzeOneContext(ctx, batch.Job{Features: sys.Features, Perturbation: sys.Perturbation},
 		batch.Options{Cache: s.cache, Core: sys.Options, Retry: s.retry, ShareBoundaries: true,
-			Kernel: s.cfg.Kernel, Anytime: s.anytime(sys)})
+			Anytime: s.anytime(sys)})
 	s.breakerReport(s.analyzeBreaker, err)
 	if err != nil {
 		if s.cfg.Degraded && degradable(err) {
@@ -701,9 +685,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		res.Meta.Anytime = true
 		s.metrics.anytimePartial.Inc()
 		obs.TraceFrom(r.Context()).SetAttr("anytime", "partial")
-	}
-	if s.cfg.CompatV1Degraded && degradedPeer {
-		res.Degraded = true
 	}
 	if degradedPeer {
 		s.noteClusterDegraded(w, r, 1)
@@ -1075,7 +1056,7 @@ func (s *Server) solveLocal(ctx context.Context, systems []*spec.System, idx []i
 		a, err := batch.AnalyzeOneContext(batch.WithRequestStats(ctx, rs),
 			batch.Job{Features: sys.Features, Perturbation: sys.Perturbation},
 			batch.Options{Cache: s.cache, Core: sys.Options, Retry: s.retry, ShareBoundaries: true,
-				Kernel: s.cfg.Kernel, Anytime: s.anytime(sys)})
+				Anytime: s.anytime(sys)})
 		if err != nil {
 			return fmt.Errorf("systems[%d] (%s): %w", i, sys.Name, err)
 		}
@@ -1084,9 +1065,6 @@ func (s *Server) solveLocal(ctx context.Context, systems []*spec.System, idx []i
 		if anyLowerBound(a) {
 			results[i].Meta.Anytime = true
 			s.metrics.anytimePartial.Inc()
-		}
-		if s.cfg.CompatV1Degraded && degraded {
-			results[i].Degraded = true
 		}
 		return nil
 	})
@@ -1192,8 +1170,7 @@ func degradable(err error) bool {
 // answerDegraded is the degraded-mode responder: with Config.Degraded
 // set it tries to assemble the full answer from the shared radius cache
 // — every feature of every submitted system must be memoised — and
-// serves it with meta.degraded set and a Warning header (plus the
-// deprecated top-level "degraded" marker when CompatV1Degraded is on).
+// serves it with meta.degraded set and a Warning header.
 // The cached values are exactly what a healthy engine would recompute,
 // so a degraded 200 is byte-identical to the fault-free response modulo
 // the meta block. On a true cache miss (or with degraded mode off) it
@@ -1239,9 +1216,6 @@ func (s *Server) cachedResults(systems []*spec.System, forwarded bool) ([]spec.R
 		}
 		results[i] = spec.Encode(sys.Name, a)
 		results[i].Meta = s.meta(forwarded, true, spec.CacheHit)
-		if s.cfg.CompatV1Degraded {
-			results[i].Degraded = true
-		}
 	}
 	return results, true
 }

@@ -95,6 +95,22 @@ func decodeError(t *testing.T, data []byte) spec.ErrorJSON {
 	return e
 }
 
+// TestAnalyzeLinearCacheProvenance: an all-linear system is answered
+// entirely by the kernel sweep on default flags, and a sweep is a cache
+// miss — the cold request reports meta.cache "miss", its repeat "hit".
+func TestAnalyzeLinearCacheProvenance(t *testing.T) {
+	ts := httptest.NewServer(New(quietConfig(Config{})).Handler())
+	defer ts.Close()
+
+	for _, want := range []string{spec.CacheMiss, spec.CacheHit} {
+		_, body := postJSON(t, ts.URL+"/v1/analyze", linearSpec(1))
+		var served spec.ResultJSON
+		if err := json.Unmarshal(body, &served); err != nil || served.Meta == nil || served.Meta.Cache != want {
+			t.Fatalf("meta.cache want %q, got %s (err %v)", want, body, err)
+		}
+	}
+}
+
 // TestAnalyzeRoundTrip proves a served analysis is DeepEqual — and, after
 // re-marshalling, byte-identical — to the in-process library result,
 // modulo the ResponseMeta block only fepiad emits.

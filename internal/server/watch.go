@@ -77,7 +77,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	watcher, err := batch.NewWatcher(
 		batch.Job{Features: sys.Features, Perturbation: sys.Perturbation},
 		batch.Options{Cache: s.cache, Core: sys.Options, Retry: s.retry, ShareBoundaries: true,
-			Kernel: s.cfg.Kernel, Anytime: s.anytime(sys)})
+			Anytime: s.anytime(sys)})
 	if err != nil {
 		s.fail(epWatch, w, r, err)
 		return

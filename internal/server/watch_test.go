@@ -110,12 +110,18 @@ func analyzeAt(t *testing.T, url string, pt []float64) spec.ResultJSON {
 }
 
 // TestWatchStream drives a session through a no-op step and a
-// single-coordinate move, with the kernel on and off, and checks every
-// frame against the one-shot /v1/analyze answer at the same point.
+// single-coordinate move, on the kernel delta path and on the
+// per-feature path a fault-injected server takes (an empty script arms
+// injection without firing a fault), and checks every frame against the
+// one-shot /v1/analyze answer at the same point.
 func TestWatchStream(t *testing.T) {
 	for _, kernelOn := range []bool{true, false} {
 		t.Run(fmt.Sprintf("kernel=%v", kernelOn), func(t *testing.T) {
-			ts := httptest.NewServer(New(quietConfig(Config{Kernel: kernelOn})).Handler())
+			cfg := Config{}
+			if !kernelOn {
+				cfg.Injector = faults.NewScript()
+			}
+			ts := httptest.NewServer(New(quietConfig(cfg)).Handler())
 			defer ts.Close()
 
 			points := [][]float64{
@@ -239,7 +245,7 @@ func TestWatchValidation(t *testing.T) {
 func TestWatchMidStreamError(t *testing.T) {
 	// The spec has 3 features; occurrence 4 is the first solve of step 2.
 	script := faults.NewScript().At(faults.Solve, 4, faults.KindError)
-	ts := httptest.NewServer(New(quietConfig(Config{Kernel: true, RetryMax: -1, Injector: script})).Handler())
+	ts := httptest.NewServer(New(quietConfig(Config{RetryMax: -1, Injector: script})).Handler())
 	defer ts.Close()
 
 	points := [][]float64{
@@ -264,7 +270,7 @@ func TestWatchMidStreamError(t *testing.T) {
 // surfaces — fepiad_watch_* on /metrics and fepiad.watch on /debug/vars —
 // with steps and changed-radii counts matching the stream.
 func TestWatchMetrics(t *testing.T) {
-	ts := httptest.NewServer(New(quietConfig(Config{Kernel: true})).Handler())
+	ts := httptest.NewServer(New(quietConfig(Config{})).Handler())
 	defer ts.Close()
 
 	points := [][]float64{{6, 4, 8}, {6, 4, 9}}

@@ -11,15 +11,12 @@ package spec
 // A batch's top-level meta reports the coldest source any of its systems
 // needed.
 const (
-	// CacheMiss: at least one radius was solved fresh for this request.
+	// CacheMiss: at least one radius was solved fresh for this request,
+	// per feature or in a kernel sweep.
 	CacheMiss = "miss"
 	// CacheCoalesced: at least one radius was obtained by waiting on an
 	// identical in-flight solve (singleflight), none solved fresh.
 	CacheCoalesced = "coalesced"
-	// CacheKernel: at least one radius came out of a vectorized SoA
-	// kernel sweep (which populates the cache for later hits), none
-	// solved fresh or coalesced.
-	CacheKernel = "kernel"
 	// CacheHit: every radius was served from the warm radius cache.
 	CacheHit = "hit"
 )
@@ -42,8 +39,8 @@ type ResponseMeta struct {
 	// or solved locally because the owning peer was unreachable. The
 	// values are exact; only their freshness guarantee is weaker.
 	Degraded bool `json:"degraded,omitempty"`
-	// Cache is the radii's provenance: "hit", "miss", "coalesced", or
-	// "kernel" (see the Cache* constants). Empty when the engine did not
+	// Cache is the radii's provenance: "hit", "miss", or "coalesced"
+	// (see the Cache* constants). Empty when the engine did not
 	// consult the radius cache at all.
 	Cache string `json:"cache,omitempty"`
 	// Anytime marks a partial answer: the request deadline expired
@@ -56,7 +53,7 @@ type ResponseMeta struct {
 }
 
 // WorstCache returns the colder of two cache-provenance values, using
-// the miss < coalesced < kernel < hit order; empty strings lose to any
+// the miss < coalesced < hit order; empty strings lose to any
 // named source. Batch handlers fold per-system sources with it.
 func WorstCache(a, b string) string {
 	rank := func(s string) int {
@@ -65,12 +62,10 @@ func WorstCache(a, b string) string {
 			return 1
 		case CacheCoalesced:
 			return 2
-		case CacheKernel:
-			return 3
 		case CacheHit:
-			return 4
+			return 3
 		}
-		return 5
+		return 4
 	}
 	if a == "" {
 		return b

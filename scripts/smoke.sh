@@ -46,7 +46,12 @@ cat >"$TMP/spec.json" <<'EOF'
   "perturbation": {"name": "λ", "orig": [300, 200], "units": "req/s"},
   "features": [
     {"name": "load(edge)", "max": 1100,
-     "impact": {"type": "linear", "coeffs": [1, 1], "offset": 0}}
+     "impact": {"type": "linear", "coeffs": [1, 1], "offset": 0}},
+    {"name": "work(db)", "max": 250000,
+     "impact": {"type": "terms", "terms": [
+       {"kind": "power", "index": 0, "coeff": 1.5, "p": 2},
+       {"kind": "xlogx", "index": 1, "coeff": 40}
+     ]}}
   ]
 }
 EOF
@@ -93,7 +98,9 @@ done
 
 echo "smoke: GET /debug/traces"
 curl -fsS "$BASE/debug/traces" >"$TMP/traces.json"
-for field in '"id": "smoke-1"' '"name": "parse"' '"name": "solve"' '"name": "encode"'; do
+# The linear feature is swept by the kernel, the convex one solved per
+# feature: both span shapes must appear.
+for field in '"id": "smoke-1"' '"name": "parse"' '"name": "kernel"' '"name": "solve"' '"name": "encode"'; do
     grep -qF "$field" "$TMP/traces.json" || {
         echo "smoke: /debug/traces missing: $field" >&2
         cat "$TMP/traces.json" >&2
