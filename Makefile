@@ -28,8 +28,9 @@ lint: vet lintdoc
 lintdoc:
 	./scripts/lintdoc.sh
 
-# checklinks: verify intra-repo markdown links in README.md and docs/
-# resolve to existing files (CI docs job).
+# checklinks: verify intra-repo markdown links and cmd/<name> mentions in
+# README.md, EXPERIMENTS.md, DESIGN.md and docs/ resolve to existing
+# files and command directories (CI docs job).
 checklinks:
 	./scripts/checklinks.sh
 

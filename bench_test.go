@@ -229,7 +229,7 @@ func BenchmarkNormAblation(b *testing.B) {
 
 // BenchmarkHeuristics times each mapping heuristic on the paper instance
 // and reports the makespan and robustness it achieves (the ablation table
-// behind cmd/heuristicstudy).
+// behind `cmd/report -only heuristicstudy`).
 func BenchmarkHeuristics(b *testing.B) {
 	etc, err := etcgen.Generate(stats.NewRNG(1), etcgen.PaperParams())
 	if err != nil {

@@ -45,5 +45,5 @@ func main() {
 	fmt.Println("\nReading: the conditional ρ dips when a commitment concentrates")
 	fmt.Println("outstanding work (more tasks share the critical machine → Eq. 6's √n")
 	fmt.Println("penalty) and recovers as work drains. Compare heuristics with")
-	fmt.Println("`go run ./cmd/dynamicstudy`.")
+	fmt.Println("`go run ./cmd/report -only dynamicstudy`.")
 }

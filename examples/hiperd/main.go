@@ -71,5 +71,5 @@ func main() {
 	fmt.Println("increases whose Euclidean norm stays below ρ; at λ* the binding")
 	fmt.Println("throughput or latency constraint is met with equality. Slack, by")
 	fmt.Println("contrast, only describes the operating point — two mappings with the")
-	fmt.Println("same slack can differ several-fold in ρ (run cmd/table2 to see).")
+	fmt.Println("same slack can differ several-fold in ρ (run `go run ./cmd/report -only table2`).")
 }

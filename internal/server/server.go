@@ -89,8 +89,10 @@ const (
 	DefaultTraceCapacity = 64
 )
 
-// Circuit-breaker defaults applied by Config.withDefaults, shared by the
-// per-endpoint breakers and the per-peer cluster breakers.
+// Circuit-breaker settings shared by the per-endpoint breakers and the
+// per-peer cluster breakers. Config.withDefaults applies the window and
+// cooldown defaults; DefaultBreakerThreshold is the fixed failure rate
+// over a full window that opens a breaker.
 const (
 	DefaultBreakerWindow    = 20
 	DefaultBreakerThreshold = 0.5
@@ -143,9 +145,6 @@ type Config struct {
 	// circuit breaker (0 selects DefaultBreakerWindow, < 0 disables the
 	// breakers).
 	BreakerWindow int
-	// BreakerThreshold is the failure rate over a full window that opens
-	// a breaker (0 selects DefaultBreakerThreshold).
-	BreakerThreshold float64
 	// BreakerCooldown is how long an open breaker rejects before probing
 	// half-open (0 selects DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
@@ -238,9 +237,6 @@ func (c Config) withDefaults() Config {
 	if c.BreakerWindow == 0 {
 		c.BreakerWindow = DefaultBreakerWindow
 	}
-	if c.BreakerThreshold <= 0 || c.BreakerThreshold > 1 {
-		c.BreakerThreshold = DefaultBreakerThreshold
-	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = DefaultBreakerCooldown
 	}
@@ -311,7 +307,7 @@ func New(cfg Config) *Server {
 		}
 	}
 	if cfg.BreakerWindow > 0 {
-		bcfg := faults.BreakerConfig{Window: cfg.BreakerWindow, Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown}
+		bcfg := faults.BreakerConfig{Window: cfg.BreakerWindow, Threshold: DefaultBreakerThreshold, Cooldown: cfg.BreakerCooldown}
 		s.analyzeBreaker = faults.NewBreaker(bcfg)
 		s.batchBreaker = faults.NewBreaker(bcfg)
 	}
@@ -325,7 +321,7 @@ func New(cfg Config) *Server {
 			// The per-peer breakers share the endpoint breakers' tuning:
 			// one set of knobs governs every circuit in the process.
 			BreakerWindow:    cfg.BreakerWindow,
-			BreakerThreshold: cfg.BreakerThreshold,
+			BreakerThreshold: DefaultBreakerThreshold,
 			BreakerCooldown:  cfg.BreakerCooldown,
 		})
 		if err != nil {
