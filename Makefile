@@ -86,10 +86,14 @@ else
 	$(GO) run ./cmd/loadgen -url $(LOADTEST_URL) -n 2000 -c 32 -batch 8
 endif
 
-# fuzz: a bounded fuzzing smoke over the spec parser, the retryable-
-# error classifier, and the cache-snapshot decoder (CI runs this).
+# fuzz: a bounded fuzzing smoke over the spec parser, the wire codec's
+# decode and encode parity with encoding/json, the retryable-error
+# classifier, and the cache-snapshot decoder (CI runs this). The codec
+# targets cap minimisation so a large 64×64 seed cannot eat the budget.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/spec
+	$(GO) test -fuzz=FuzzDecodeParity -fuzztime=30s -fuzzminimizetime=5s ./internal/spec
+	$(GO) test -fuzz=FuzzEncodeParity -fuzztime=30s -fuzzminimizetime=5s ./internal/spec
 	$(GO) test -fuzz=FuzzRetryable -fuzztime=30s ./internal/faults
 	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=30s ./internal/batch
 

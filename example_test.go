@@ -197,7 +197,8 @@ func ExampleNewClusterRing() {
 	}
 
 	// The route key of a parsed spec document decides the owning node —
-	// structurally identical systems always land on the same warm cache.
+	// structurally identical systems always land on the same warm cache,
+	// however the request was formatted.
 	sys, err := robustness.ParseSpec([]byte(`{
 	  "perturbation": {"orig": [300, 200]},
 	  "features": [{"max": 1000, "impact": {"type": "linear", "coeffs": [1, 1]}}]
@@ -205,7 +206,11 @@ func ExampleNewClusterRing() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("owner stays fixed: %v\n", ring.Owner(sys.RouteKey) == ring.Owner(sys.RouteKey))
+	same, err := robustness.ParseSpec([]byte(`{"perturbation":{"orig":[300,200]},"features":[{"max":1e3,"impact":{"type":"linear","coeffs":[1,1]}}]}`))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("owner stays fixed: %v\n", ring.Owner(sys.RouteKey()) == ring.Owner(same.RouteKey()))
 
 	// Decoding the meta block of a forwarded /v1/analyze response.
 	meta := robustness.ResponseMeta{Node: "n2", Forwarded: true, Cache: "hit"}

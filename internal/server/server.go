@@ -586,7 +586,7 @@ func (s *Server) retryAfterHeader(w http.ResponseWriter) {
 
 // readBody reads a size-capped request body.
 func (s *Server) readBody(endpoint string, w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := readAllSized(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), min(r.ContentLength, s.cfg.MaxBodyBytes))
 	if err != nil {
 		s.metrics.errs[endpoint].Inc()
 		obs.TraceFrom(r.Context()).SetAttr("outcome", "invalid_spec")
@@ -599,6 +599,31 @@ func (s *Server) readBody(endpoint string, w http.ResponseWriter, r *http.Reques
 		return nil, false
 	}
 	return body, true
+}
+
+// readAllSized is io.ReadAll with the buffer presized for a body of the
+// declared size (negative when unknown), so a body with a
+// Content-Length is read into one allocation instead of a doubling
+// series from 512 bytes. The spare byte lets the final read see EOF
+// without growing the buffer.
+func readAllSized(r io.Reader, size int64) ([]byte, error) {
+	if size < 0 {
+		size = 512
+	}
+	b := make([]byte, 0, size+1)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // handleAnalyze serves POST /v1/analyze: one spec document in, one
@@ -626,7 +651,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	forwarded := r.Header.Get(cluster.ForwardedFromHeader) != ""
 	degradedPeer := false
 	if s.router != nil && !forwarded {
-		if owner := s.router.Owner(sys.RouteKey); owner != s.router.Self() {
+		if owner := s.router.Owner(sys.RouteKey()); owner != s.router.Self() {
 			if s.relay(epAnalyze, w, r, owner, "/v1/analyze", body) {
 				return
 			}
@@ -903,7 +928,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.router != nil && !forwarded {
 		self := s.router.Self()
 		for i, sys := range systems {
-			if owner := s.router.Owner(sys.RouteKey); owner != self {
+			if owner := s.router.Owner(sys.RouteKey()); owner != self {
 				if remote == nil {
 					remote = make(map[string][]int)
 				}
@@ -1253,13 +1278,39 @@ func (s *Server) fail(endpoint string, w http.ResponseWriter, r *http.Request, e
 	writeError(w, status, spec.ErrorJSON{Error: err.Error(), Kind: kind, Path: path})
 }
 
-// writeJSON writes a 2xx JSON document.
+// bufPool recycles response buffers across requests; without it every
+// warm analyze allocates its ~120 KB document afresh.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBuf keeps an outsized batch response from pinning its buffer
+// in the pool.
+const maxPooledBuf = 1 << 20
+
+func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
+
+func putBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledBuf {
+		*bp = (*bp)[:0]
+		bufPool.Put(bp)
+	}
+}
+
+// writeJSON writes a 2xx JSON document, indented as spec.AppendJSON
+// lays it out. The whole body is encoded before the status is
+// committed, so a document that cannot be encoded answers 500 internal
+// rather than an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	bp := getBuf()
+	defer putBuf(bp)
+	b, err := spec.AppendJSON(*bp, v, true)
+	*bp = b
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, spec.ErrorJSON{Error: "encoding response: " + err.Error(), Kind: "internal"})
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(b)
 }
 
 // writeError writes the ErrorJSON envelope.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -51,14 +50,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		psp.End(errors.New("body rejected"))
 		return
 	}
-	var req spec.WatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		verr := &spec.ValidationError{Msg: "malformed JSON: " + err.Error(), Err: err}
-		psp.End(verr)
-		s.fail(epWatch, w, r, verr)
-		return
-	}
-	sys, err := spec.Build(req.System)
+	req, sys, err := spec.ParseWatch(body)
 	if err == nil {
 		err = validateTrajectory(req.Points, len(sys.Perturbation.Orig))
 	}
@@ -89,7 +81,17 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	s.serveHeaders(w, r, false)
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
+	bp := getBuf()
+	defer putBuf(bp)
+	// send writes one compact NDJSON line, reusing the session's buffer.
+	send := func(v any) error {
+		b, err := spec.AppendJSON((*bp)[:0], v, false)
+		*bp = b
+		if err == nil {
+			_, err = w.Write(b)
+		}
+		return err
+	}
 
 	totalChanged := 0
 	for i, pt := range req.Points {
@@ -108,7 +110,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			obs.Logger(r.Context()).Warn("watch session aborted mid-stream",
 				"step", i+1, "kind", kind, "error", err.Error())
 			s.metrics.errs[epWatch].Inc()
-			_ = enc.Encode(spec.WatchSummary{Done: true, Steps: i, TotalChanged: totalChanged,
+			_ = send(spec.WatchSummary{Done: true, Steps: i, TotalChanged: totalChanged,
 				Error: err.Error(), ErrorKind: kind})
 			flush(flusher)
 			return
@@ -127,14 +129,14 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			s.metrics.anytimePartial.Inc()
 			obs.TraceFrom(r.Context()).SetAttr("anytime", "partial")
 		}
-		if err := enc.Encode(frame); err != nil {
+		if err := send(frame); err != nil {
 			// The client went away; nothing left to tell it.
 			obs.TraceFrom(r.Context()).SetAttr("outcome", "client_gone")
 			return
 		}
 		flush(flusher)
 	}
-	_ = enc.Encode(spec.WatchSummary{Done: true, Steps: len(req.Points), TotalChanged: totalChanged})
+	_ = send(spec.WatchSummary{Done: true, Steps: len(req.Points), TotalChanged: totalChanged})
 	flush(flusher)
 }
 

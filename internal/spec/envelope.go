@@ -6,10 +6,7 @@ package spec
 // BatchResponse whose results are in request order. Every non-2xx answer
 // is an ErrorJSON.
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // BatchRequest is the POST /v1/batch body: many systems analysed in one
 // round trip over the server's worker pool and shared radius cache.
@@ -48,9 +45,9 @@ type ErrorJSON struct {
 // System per entry, in order. Failures are *ValidationError values whose
 // paths are rooted at "systems[i]".
 func ParseBatch(data []byte) ([]*System, error) {
-	var req BatchRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, &ValidationError{Msg: "malformed JSON: " + err.Error(), Err: err}
+	req, err := decode(data, decodeBatchRequest)
+	if err != nil {
+		return nil, err
 	}
 	if len(req.Systems) == 0 {
 		return nil, invalidf("systems", "no systems")

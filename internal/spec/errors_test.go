@@ -78,14 +78,16 @@ func TestPrefixPath(t *testing.T) {
 	}
 }
 
+// batchDoc is the reference two-system batch document.
+const batchDoc = `{"systems": [
+  {"name":"a","perturbation":{"orig":[1,2]},"features":[{"max":10,"impact":{"type":"linear","coeffs":[1,1]}}]},
+  {"name":"b","perturbation":{"orig":[3]},"norm":"l1","features":[{"max":9,"impact":{"type":"linear","coeffs":[2]}}]}
+]}`
+
 // TestParseBatch round-trips the batch envelope and roots inner failures
 // at systems[i].
 func TestParseBatch(t *testing.T) {
-	good := `{"systems": [
-	  {"name":"a","perturbation":{"orig":[1,2]},"features":[{"max":10,"impact":{"type":"linear","coeffs":[1,1]}}]},
-	  {"name":"b","perturbation":{"orig":[3]},"norm":"l1","features":[{"max":9,"impact":{"type":"linear","coeffs":[2]}}]}
-	]}`
-	systems, err := ParseBatch([]byte(good))
+	systems, err := ParseBatch([]byte(batchDoc))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,16 +6,24 @@ import (
 	"fepia/internal/core"
 )
 
+// parseSeeds are the spec documents every fuzz target of this package
+// starts from.
+var parseSeeds = []string{
+	webFarm,
+	`{`,
+	`{"perturbation":{"orig":[1]},"features":[{"max":1,"impact":{"type":"linear","coeffs":[1]}}]}`,
+	`{"perturbation":{"orig":[0,0]},"norm":"l1","features":[{"min":-1,"impact":{"type":"terms","terms":[{"kind":"exp","index":1,"coeff":2,"p":0.1}]}}]}`,
+	`{"perturbation":{"orig":[1e308,1e308]},"features":[{"max":1e308,"impact":{"type":"linear","coeffs":[1e308,1e308]}}]}`,
+}
+
 // FuzzParse checks that arbitrary byte input never panics the spec parser
 // and that everything it accepts is actually analysable (the invariant
 // downstream tools rely on). Run the seeds with `go test`; explore with
 // `go test -fuzz=FuzzParse ./internal/spec`.
 func FuzzParse(f *testing.F) {
-	f.Add([]byte(webFarm))
-	f.Add([]byte(`{`))
-	f.Add([]byte(`{"perturbation":{"orig":[1]},"features":[{"max":1,"impact":{"type":"linear","coeffs":[1]}}]}`))
-	f.Add([]byte(`{"perturbation":{"orig":[0,0]},"norm":"l1","features":[{"min":-1,"impact":{"type":"terms","terms":[{"kind":"exp","index":1,"coeff":2,"p":0.1}]}}]}`))
-	f.Add([]byte(`{"perturbation":{"orig":[1e308,1e308]},"features":[{"max":1e308,"impact":{"type":"linear","coeffs":[1e308,1e308]}}]}`))
+	for _, seed := range parseSeeds {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sys, err := Parse(data)
 		if err != nil {

@@ -117,13 +117,6 @@ type System struct {
 	Perturbation core.Perturbation
 	// Options carries the norm selection.
 	Options core.Options
-	// RouteKey is a deterministic 64-bit digest of the canonical spec
-	// document, identical for the same spec on every node regardless of
-	// request formatting. The cluster layer (internal/cluster) hashes it
-	// onto the consistent-hash ring to pick the owning fepiad node, so
-	// structurally identical systems always land on the same node's warm
-	// cache.
-	RouteKey uint64
 	// File is the decoded source document the system was built from,
 	// retained so cluster forwarding can re-marshal sub-batches without
 	// keeping the original request body around.
@@ -135,9 +128,9 @@ type System struct {
 // (and matching ErrInvalidSpec), so callers can distinguish client
 // mistakes from engine failures with errors.As.
 func Parse(data []byte) (*System, error) {
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, &ValidationError{Msg: "malformed JSON: " + err.Error(), Err: err}
+	f, err := decode(data, decodeFile)
+	if err != nil {
+		return nil, err
 	}
 	return Build(f)
 }
@@ -200,17 +193,23 @@ func Build(f File) (*System, error) {
 		}
 		features = append(features, feature)
 	}
-	return &System{Name: f.Name, Features: features, Perturbation: p, Options: opts,
-		RouteKey: routeKey(f), File: f}, nil
+	return &System{Name: f.Name, Features: features, Perturbation: p, Options: opts, File: f}, nil
 }
 
-// routeKey digests the canonical re-marshaled form of a decoded File —
-// struct field order is fixed and request whitespace is gone, so two
-// nodes decoding the same spec always agree on the key.
-func routeKey(f File) uint64 {
-	doc, err := json.Marshal(f)
+// RouteKey is a deterministic 64-bit digest of the canonical spec
+// document, identical for the same spec on every node regardless of
+// request formatting. The cluster layer (internal/cluster) hashes it
+// onto the consistent-hash ring to pick the owning fepiad node, so
+// structurally identical systems always land on the same node's warm
+// cache. It is the FNV-64a digest of the re-marshaled File — struct
+// field order is fixed and request whitespace is gone, so two nodes
+// decoding the same spec always agree on the key. It costs a full
+// re-marshal, so only a node with a ring computes it.
+func (s *System) RouteKey() uint64 {
+	doc, err := json.Marshal(s.File)
 	if err != nil {
-		// A decoded File always re-marshals; keep Build infallible here.
+		// Every number of a decoded File came from JSON, so it always
+		// re-marshals; a zero key still routes somewhere.
 		return 0
 	}
 	h := fnv.New64a()

@@ -17,6 +17,18 @@ type WatchRequest struct {
 	Points [][]float64 `json:"points"`
 }
 
+// ParseWatch decodes a WatchRequest and validates its system. Decoding
+// failures are *ValidationError values, as from Parse; the trajectory's
+// shape is left to the caller.
+func ParseWatch(data []byte) (WatchRequest, *System, error) {
+	req, err := decode(data, decodeWatchRequest)
+	if err != nil {
+		return req, nil, err
+	}
+	sys, err := Build(req.System)
+	return req, sys, err
+}
+
 // WatchFrame is one streamed step: the operating point analysed, the
 // resulting robustness metric, and ONLY the radii whose answer moved
 // since the previous frame (on the first frame, all of them). A client
